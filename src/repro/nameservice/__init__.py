@@ -29,6 +29,7 @@ from repro.nameservice.leases import (
     LeaseState,
     LeaseTable,
     callback_fanout,
+    fanout_steps,
 )
 from repro.nameservice.placement import DirectoryPlacement
 from repro.nameservice.protocol import (
@@ -84,4 +85,5 @@ __all__ = [
     "binding_hash",
     "callback_fanout",
     "check_semantics_preserved",
+    "fanout_steps",
 ]

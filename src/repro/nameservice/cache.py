@@ -36,7 +36,7 @@ from repro.model.entities import Entity, ObjectEntity
 from repro.nameservice.leases import (
     LeaseManager,
     LeaseTable,
-    callback_fanout,
+    sim_lease_fanout,
 )
 from repro.nameservice.placement import DirectoryPlacement
 from repro.nameservice.retry import RetryPolicy
@@ -572,54 +572,19 @@ class CachingDirectoryService:
         """Break the promise: call back every live lease holder."""
         dep = binding_dep(directory, name_)
         host = self._placement.host_of_binding(directory, name_)
-        now = self._sim.clock.now
-        holders = self.leases.holders_of(dep, now)
+        holders = self.leases.holders_of(dep, self._sim.clock.now)
         if not holders:
             return
         before = self._sim.clock.now
-
-        def deliver(lease, attempt: int) -> bool:
-            machine = self._machines_by_id.get(lease.machine_id)
-            if machine is None:
-                return False
-            if host is None or machine is host:
-                self._on_callback(lease, directory, name_)
-                return True
-            message = self._agent(host).send(
-                self._agent(machine),
-                payload={"lease": {"op": "break", "dep": dep}},
-                latency=self._latency)
-            self.invalidation_messages += 1
-            self._sim.run_until_settled(message)
-            if message.dropped:
-                return False
-            self._on_callback(lease, directory, name_)
-            ack = self._agent(machine).send(
-                self._agent(host),
-                payload={"lease": {"op": "ack", "dep": dep}},
-                latency=self._latency)
-            self.invalidation_messages += 1
-            self._sim.run_until_settled(ack)
-            if not ack.dropped:
-                self.leases.record_ack(lease.machine_id, dep,
-                                       self._sim.clock.now)
-            return True
-
-        def wait(delay: float) -> None:
-            self._sim.run(until=self._sim.clock.now + delay)
-
-        report = callback_fanout(
-            holders,
-            now=lambda: self._sim.clock.now,
-            rng=self._sim.rng,
-            deliver=deliver,
-            wait=wait,
-            retry_policy=self.retry_policy,
-            breaker_for=lambda lease: self.leases.breaker_for_machine(
-                lease.machine_id,
-                label=self._machine_label(lease.machine_id)),
-            on_broken=lambda lease: self.leases.break_lease(
-                lease, self._sim.clock.now))
+        report, sent = sim_lease_fanout(
+            self._sim, self.leases, holders, host=host,
+            machines=self._machines_by_id,
+            sender=lambda: self._agent(host), receiver_of=self._agent,
+            latency=self._latency,
+            revoke=lambda lease: self._on_callback(lease, directory,
+                                                   name_),
+            span=None)
+        self.invalidation_messages += sent
         self.invalidation_losses += report.broken
         self.invalidation_latency += self._sim.clock.now - before
 
@@ -633,10 +598,6 @@ class CachingDirectoryService:
         cache = self._caches.get(lease.machine_id)
         if cache is not None:
             cache.invalidate(directory, name_)
-
-    def _machine_label(self, machine_id: int) -> str:
-        machine = self._machines_by_id.get(machine_id)
-        return machine.label if machine is not None else str(machine_id)
 
     # -- reporting --------------------------------------------------------------------
 

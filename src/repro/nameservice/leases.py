@@ -16,11 +16,9 @@ Three cooperating pieces:
 
 * :class:`LeaseManager` — server side.  Grants per-client, per-
   dependency-key leases over virtual time, remembers which machine
-  holds which promise, fans callbacks out on rebind (via
-  :func:`callback_fanout`, reusing :class:`~repro.nameservice.retry.
-  RetryPolicy` and :class:`~repro.nameservice.retry.CircuitBreaker`
-  directly), tracks acks, and *breaks* leases whose callbacks cannot
-  be delivered — the broken promise expires on the client by term.
+  holds which promise, tracks acks, and *breaks* leases whose
+  callbacks cannot be delivered — the broken promise expires on the
+  client by term.
 * :class:`LeaseTable` — client side.  Gates cached entries: an entry
   is fresh iff its covering lease is unexpired (replacing blind TTLs
   for leased clients).  In *grace mode* — entered when the client
@@ -28,8 +26,14 @@ Three cooperating pieces:
   but every answer must be tagged weakly coherent by the caller; on
   heal, :meth:`LeaseTable.exit_grace` revalidates epochs before
   entries may be promoted back to fresh.
-* :func:`callback_fanout` — the generic bounded-retry delivery driver
-  shared by the resolver's rebind path (and testable on its own).
+* The break fan-out on rebind — one bounded-retry loop,
+  :func:`fanout_steps`, a sans-IO generator reusing
+  :class:`~repro.nameservice.retry.RetryPolicy` and
+  :class:`~repro.nameservice.retry.CircuitBreaker`, with two drivers:
+  :func:`callback_fanout` here (virtual time) and
+  :func:`repro.transport.leases.callback_fanout_async` (asyncio).
+  :func:`sim_lease_fanout` is the simulator's per-holder break → ack
+  round trip, shared by the caching service and the resolver.
 
 Everything runs over the simulator's virtual clock and seeded RNG, so
 lease schedules are deterministic per seed.
@@ -39,7 +43,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import TYPE_CHECKING, Any, Callable, Generator, Optional
 
 from repro.errors import SimulationError
 from repro.nameservice.retry import CircuitBreaker, RetryPolicy
@@ -47,9 +51,14 @@ from repro.obs.instrument import NO_OBS, Instrumentation
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (cache.py)
     from repro.nameservice.cache import DepKey
+    from repro.obs.trace import Span
+    from repro.sim.kernel import Simulator
+    from repro.sim.network import Machine
+    from repro.sim.process import SimProcess
 
 __all__ = ["LeaseState", "Lease", "LeaseTable", "LeaseManager",
-           "FanoutReport", "callback_fanout"]
+           "FanoutReport", "fanout_steps", "callback_fanout",
+           "sim_lease_fanout"]
 
 
 class LeaseState(enum.Enum):
@@ -278,32 +287,30 @@ class FanoutReport:
     skipped: int = 0    #: holders skipped by an open circuit breaker
 
 
-def callback_fanout(holders: list[Lease], *,
-                    now: Callable[[], float],
-                    rng,
-                    deliver: Callable[[Lease, int], bool],
-                    wait: Callable[[float], None],
-                    retry_policy: Optional[RetryPolicy],
-                    breaker_for: Callable[[Lease],
-                                          Optional[CircuitBreaker]],
-                    on_broken: Callable[[Lease], None]) -> FanoutReport:
-    """Drive callback delivery to every lease holder, with retries.
+DELIVER = "deliver"
+WAIT = "wait"
 
-    This is the shared bounded-retry delivery loop: for each holder,
-    attempt ``deliver(lease, attempt)`` up to
-    ``retry_policy.max_attempts`` times, sleeping
-    ``retry_policy.backoff(attempt, rng)`` between failures via
-    *wait* (virtual time).  A holder whose circuit breaker (from
-    *breaker_for*) is open is skipped without an attempt — its lease
-    is broken outright, exactly as an exhausted retry budget would.
-    Breaker bookkeeping uses the same
-    :meth:`~repro.nameservice.retry.CircuitBreaker.record_success` /
-    :meth:`~repro.nameservice.retry.CircuitBreaker.record_failure`
-    hooks the resolver's hop path uses, so transition behaviour is
-    identical for both callers.
 
-    ``deliver`` returns True when the callback (and its ack) made it;
-    *on_broken* runs for every lease left undeliverable.
+def fanout_steps(holders: list[Lease], *,
+                 now: Callable[[], float],
+                 rng,
+                 retry_policy: Optional[RetryPolicy],
+                 breaker_for: Callable[[Lease], Optional[CircuitBreaker]],
+                 on_broken: Callable[[Lease], None]
+                 ) -> Generator[tuple, Optional[bool], FanoutReport]:
+    """The bounded-retry break fan-out, written once, without I/O.
+
+    Per holder it yields ``(DELIVER, (lease, attempt))`` up to
+    ``retry_policy.max_attempts`` times (the driver sends back True
+    once the callback and its ack made it) and ``(WAIT, (delay,))``
+    between failures, *delay* being ``retry_policy.backoff(attempt,
+    rng)``.  An open circuit breaker skips its holder without an
+    attempt and one that trips mid-holder stops the attempts, using
+    the same breaker hooks as the resolver's hop path.  *on_broken*
+    runs for every lease left undeliverable; the return value is the
+    :class:`FanoutReport`.  :func:`callback_fanout` drives it in
+    virtual time, :func:`repro.transport.leases.callback_fanout_async`
+    under asyncio.
     """
     report = FanoutReport()
     attempts_per = 1 if retry_policy is None else retry_policy.max_attempts
@@ -317,7 +324,7 @@ def callback_fanout(holders: list[Lease], *,
         delivered = False
         for attempt in range(1, attempts_per + 1):
             report.attempts += 1
-            if deliver(lease, attempt):
+            if (yield DELIVER, (lease, attempt)):
                 delivered = True
                 if breaker is not None:
                     breaker.record_success(now())
@@ -325,7 +332,7 @@ def callback_fanout(holders: list[Lease], *,
             if breaker is not None:
                 breaker.record_failure(now())
             if attempt < attempts_per and retry_policy is not None:
-                wait(retry_policy.backoff(attempt, rng))
+                yield WAIT, (retry_policy.backoff(attempt, rng),)
             if breaker is not None and not breaker.allow(now()):
                 break  # tripped mid-holder: stop burning attempts
         if delivered:
@@ -334,6 +341,107 @@ def callback_fanout(holders: list[Lease], *,
             report.broken += 1
             on_broken(lease)
     return report
+
+
+def callback_fanout(holders: list[Lease], *,
+                    now: Callable[[], float],
+                    rng,
+                    deliver: Callable[[Lease, int], bool],
+                    wait: Callable[[float], None],
+                    retry_policy: Optional[RetryPolicy],
+                    breaker_for: Callable[[Lease],
+                                          Optional[CircuitBreaker]],
+                    on_broken: Callable[[Lease], None]) -> FanoutReport:
+    """Drive :func:`fanout_steps` synchronously: *deliver* blocks
+    until the callback settles and *wait* spends (virtual) time."""
+    steps = fanout_steps(holders, now=now, rng=rng,
+                         retry_policy=retry_policy,
+                         breaker_for=breaker_for, on_broken=on_broken)
+    actions = {DELIVER: deliver, WAIT: wait}
+    outcome = None
+    while True:
+        try:
+            kind, args = steps.send(outcome)
+        except StopIteration as done:
+            return done.value
+        outcome = actions[kind](*args)
+
+
+def sim_lease_fanout(simulator: "Simulator", leases: "LeaseManager",
+                     holders: list[Lease], *,
+                     host: Optional["Machine"],
+                     machines: dict[int, "Machine"],
+                     sender: Callable[[], Optional["SimProcess"]],
+                     receiver_of: Callable[["Machine"], "SimProcess"],
+                     latency: float,
+                     revoke: Callable[[Lease], None],
+                     span: Optional["Span"]) -> tuple[FanoutReport, int]:
+    """Break *holders*' leases over the simulator; returns the
+    :class:`FanoutReport` and the number of messages sent.
+
+    One attempt is one round trip: the break goes from ``sender()``
+    (the binding's *host* process, or None when nobody is left to
+    send it) to ``receiver_of(machine)`` and settles; if it arrived,
+    the holder is revoked and its ack is sent back, settled and
+    recorded.  Holders on the host (or all, when *host* is None) are
+    revoked directly.  With a *span*, every message is stamped with
+    it and each break attempt is a ``lease.callback`` event.
+    """
+    sent = []
+
+    def send(source: "SimProcess", target: "SimProcess", op: str,
+             dep: "DepKey") -> Any:
+        message = source.send(target, payload={"lease": {
+            "op": op, "dep": dep}}, latency=latency)
+        if span is not None:
+            message.trace_id = span.trace_id
+            message.parent_span_id = span.span_id
+        sent.append(message)
+        simulator.run_until_settled(message)
+        return message
+
+    def deliver(lease: Lease, attempt: int) -> bool:
+        machine = machines.get(lease.machine_id)
+        if machine is None:
+            return False
+        if host is None or machine is host:
+            revoke(lease)
+            return True
+        source = sender()
+        if source is None:
+            return False
+        callback = send(source, receiver_of(machine), "break", lease.dep)
+        if span is not None:
+            obs = simulator.obs
+            obs.tracer.event(
+                "lease", "lease.callback", simulator.clock.now,
+                attrs={"machine": machine.label, "dep": repr(lease.dep),
+                       "attempt": attempt,
+                       "delivered": not callback.dropped})
+            obs.metrics.counter(
+                "lease_callbacks_total",
+                {"delivered": str(not callback.dropped).lower()}).inc()
+        if callback.dropped:
+            return False
+        revoke(lease)
+        if not send(callback.receiver, source, "ack", lease.dep).dropped:
+            leases.record_ack(lease.machine_id, lease.dep,
+                              simulator.clock.now)
+        return True
+
+    report = callback_fanout(
+        holders,
+        now=lambda: simulator.clock.now,
+        rng=simulator.rng,
+        deliver=deliver,
+        wait=lambda delay: simulator.run(
+            until=simulator.clock.now + delay),
+        retry_policy=leases.retry_policy,
+        breaker_for=lambda lease: leases.breaker_for_machine(
+            lease.machine_id, label=f"lease-cb:{lease.machine_label}"),
+        on_broken=lambda lease: leases.break_lease(
+            lease, simulator.clock.now))
+    return report, len(sent)
 
 
 class LeaseManager:

@@ -508,7 +508,8 @@ class AsyncNameClient:
             self._advance(pending)
 
     def _on_lease_message(self, message: Any, body: dict) -> None:
-        """Handle a server-initiated lease callback (break)."""
+        """Handle a server-initiated lease callback (break); the ack
+        echoes the callback's ``id`` so the server can match it."""
         if body.get("op") != "break" or self.lease_table is None:
             return
         now = self.transport.now()
@@ -520,7 +521,7 @@ class AsyncNameClient:
                 "async_lease_callbacks_total",
                 {"held": str(held).lower()}).inc()
         ack = self.endpoint.send(message.sender, payload={"lease": {
-            "op": "ack", "dep": dep, "held": held,
+            "op": "ack", "dep": dep, "held": held, "id": body.get("id"),
         }}, latency=self.latency)
         # The ack continues the callback's trace.
         ack.trace_id = message.trace_id

@@ -76,7 +76,7 @@ from repro.nameservice.cache import (
 from repro.nameservice.leases import (
     LeaseManager,
     LeaseTable,
-    callback_fanout,
+    sim_lease_fanout,
 )
 from repro.nameservice.placement import DirectoryPlacement
 from repro.nameservice.retry import (BreakerState, CircuitBreaker,
@@ -1372,18 +1372,16 @@ class DistributedResolver:
                          span) -> int:
         """LEASE fan-out: break the promise at every live holder.
 
-        Each callback is one message with bounded retries (the shared
-        :class:`RetryPolicy`/:class:`CircuitBreaker` machinery via
-        :func:`callback_fanout`); a delivered callback revokes the
+        Each callback is one message with bounded retries (the round
+        trip :func:`~repro.nameservice.leases.sim_lease_fanout` shares
+        with the caching service); a delivered callback revokes the
         holder's lease, drops its cached prefixes and is acked back; a
         holder that stays unreachable has its lease *broken* — the
         stale copy then expires by the lease term, which is what
         bounds staleness where INVALIDATE would silently lose.
         """
-        obs = self._obs
         dep = binding_dep(directory, name_)
-        now = self._sim.clock.now
-        holders = self.leases.holders_of(dep, now)
+        holders = self.leases.holders_of(dep, self._sim.clock.now)
         if not holders:
             return 0
         # Break callbacks fan out from the owning shard's machine for
@@ -1393,81 +1391,25 @@ class DistributedResolver:
         if host is not None:
             host_server = (self.server_for(host) if host.alive
                            else self._servers.get(id(host)))
-        counters = {"sent": 0}
         before = self._sim.clock.now
-
-        def deliver(lease, attempt: int) -> bool:
-            machine = self._machines_by_id.get(lease.machine_id)
-            if machine is None:
-                return False
-            if host is None or machine is host:
-                self._on_lease_callback(lease.machine_id, dep, span)
-                return True
-            if host_server is None or not host_server.alive:
-                return False  # nobody left to send the callback
-            message = host_server.send(
-                self.server_for(machine),
-                payload={"lease": {"op": "break", "dep": dep}},
-                latency=self._latency)
-            if span is not None:
-                message.trace_id = span.trace_id
-                message.parent_span_id = span.span_id
-            counters["sent"] += 1
-            self.invalidation_messages += 1
-            self._sim.run_until_settled(message)
-            if obs.enabled:
-                obs.tracer.event(
-                    "lease", "lease.callback", self._sim.clock.now,
-                    attrs={"machine": machine.label, "dep": repr(dep),
-                           "attempt": attempt,
-                           "delivered": not message.dropped})
-                obs.metrics.counter(
-                    "lease_callbacks_total",
-                    {"delivered": str(not message.dropped).lower()}
-                ).inc()
-            if message.dropped:
-                return False
-            self._on_lease_callback(lease.machine_id, dep, span)
-            ack = self.server_for(machine).send(
-                host_server,
-                payload={"lease": {"op": "ack", "dep": dep}},
-                latency=self._latency)
-            if span is not None:
-                ack.trace_id = span.trace_id
-                ack.parent_span_id = span.span_id
-            counters["sent"] += 1
-            self.invalidation_messages += 1
-            self._sim.run_until_settled(ack)
-            if not ack.dropped:
-                self.leases.record_ack(lease.machine_id, dep,
-                                       self._sim.clock.now)
-            return True
-
-        def wait(delay: float) -> None:
-            start = self._sim.clock.now
-            self._sim.run(until=start + delay)
-
-        report = callback_fanout(
-            holders,
-            now=lambda: self._sim.clock.now,
-            rng=self._sim.rng,
-            deliver=deliver,
-            wait=wait,
-            retry_policy=self.retry_policy,
-            breaker_for=lambda lease: self.leases.breaker_for_machine(
-                lease.machine_id,
-                label="lease-cb:" + (
-                    self._machines_by_id[lease.machine_id].label
-                    if lease.machine_id in self._machines_by_id
-                    else str(lease.machine_id))),
-            on_broken=lambda lease: self.leases.break_lease(
-                lease, self._sim.clock.now))
+        report, sent = sim_lease_fanout(
+            self._sim, self.leases, holders, host=host,
+            machines=self._machines_by_id,
+            # Nobody left to send the callback once the host's server
+            # is gone: the attempt fails without a message.
+            sender=lambda: (host_server if host_server is not None
+                            and host_server.alive else None),
+            receiver_of=self.server_for, latency=self._latency,
+            revoke=lambda lease: self._on_lease_callback(
+                lease.machine_id, dep, span),
+            span=span)
+        self.invalidation_messages += sent
         self.invalidation_losses += report.broken
         self.invalidation_latency += self._sim.clock.now - before
-        if obs.enabled and report.broken:
-            obs.metrics.counter(
+        if self._obs.enabled and report.broken:
+            self._obs.metrics.counter(
                 "resolver_invalidation_losses_total").inc(report.broken)
-        return counters["sent"]
+        return sent
 
     def _on_lease_callback(self, machine_id: int, dep, span) -> None:
         """A break callback reached its holder: revoke + drop."""

@@ -34,12 +34,16 @@ payloads through untouched):
   FanoutReport` counts;
 * ``{"ctl": {"op": "stats"}}`` → server counters (requests served,
   frames, leases) for smoke checks.
+
+Each ctl request carries an ``id`` its reply echoes, and each break
+callback an ``id`` its ack echoes, so overlapping calls get their own
+answers.
 """
 
 from __future__ import annotations
 
 import asyncio
-from collections import deque
+import itertools
 from typing import Any, Optional
 
 from repro.errors import SchemeError
@@ -137,6 +141,7 @@ class NamingService:
         self.retry_policy = retry_policy
         self.ack_timeout = ack_timeout
         self.acks = AckWaiter()
+        self._callback_ids = itertools.count(1)
         self.epoch = 0
         self.rebinds = 0
         self._holders: dict[int, Any] = {}  # session id → reply address
@@ -171,25 +176,26 @@ class NamingService:
             return
         op = body.get("op")
         if op == "hello":
-            endpoint.send(message.sender, payload={"ctl": {
-                "op": "welcome",
-                "root": describe_entity(self.root),
-                "lookup": self.server.endpoint.label,
-            }})
+            self._reply(message.sender, body, "welcome",
+                        root=describe_entity(self.root),
+                        lookup=self.server.endpoint.label)
         elif op == "lease-grant":
             self._grant(message.sender, body)
         elif op == "rebind":
             asyncio.get_running_loop().create_task(
                 self._rebind(message.sender, body))
         elif op == "stats":
-            endpoint.send(message.sender, payload={"ctl": {
-                "op": "stats-reply",
-                "requests_served": self.server.requests_served,
-                "rebinds": self.rebinds,
-                "leases": self.leases.stats(),
-                "frames_delivered": self.transport.frames_delivered,
-                "frames_dropped": self.transport.frames_dropped,
-            }})
+            self._reply(message.sender, body, "stats-reply",
+                        requests_served=self.server.requests_served,
+                        rebinds=self.rebinds,
+                        leases=self.leases.stats(),
+                        frames_delivered=self.transport.frames_delivered,
+                        frames_dropped=self.transport.frames_dropped)
+
+    def _reply(self, to: Any, request: dict, op: str, **fields: Any) -> None:
+        """Answer a ctl request, echoing its ``id`` for the caller."""
+        self.ctl.send(to, payload={"ctl": {
+            "op": op, "id": request.get("id"), **fields}})
 
     def _grant(self, sender: Any, body: dict) -> None:
         dep = tuple(body["dep"])
@@ -198,10 +204,8 @@ class NamingService:
         now = self.transport.now()
         lease = self.leases.grant(session, dep, now, self.epoch,
                                   machine_label=f"conn#{session}")
-        self.ctl.send(sender, payload={"ctl": {
-            "op": "lease-granted", "dep": list(dep),
-            "term": self.leases.term, "epoch": lease.epoch,
-        }})
+        self._reply(sender, body, "lease-granted", dep=list(dep),
+                    term=self.leases.term, epoch=lease.epoch)
 
     def _breaker_for(self, lease: Any) -> CircuitBreaker:
         # Wall-clock-bound breakers (retry.CircuitBreaker clock=):
@@ -221,9 +225,8 @@ class NamingService:
         for component in path[:-1]:
             parent = parent.state(component)
             if not parent.is_context_object():
-                self.ctl.send(reply_to, payload={"ctl": {
-                    "op": "rebound", "path": path,
-                    "error": f"not a directory at {component!r}"}})
+                self._reply(reply_to, body, "rebound", path=path,
+                            error=f"not a directory at {component!r}")
                 return
         component = path[-1]
         context: Context = parent.state
@@ -247,29 +250,27 @@ class NamingService:
             breaker_for=self._breaker_for,
             on_broken=lambda lease: self.leases.break_lease(
                 lease, self.transport.now()))
-        self.ctl.send(reply_to, payload={"ctl": {
-            "op": "rebound", "path": path,
-            "notified": report.notified, "broken": report.broken,
-            "attempts": report.attempts, "skipped": report.skipped,
-        }})
+        self._reply(reply_to, body, "rebound", path=path,
+                    notified=report.notified, broken=report.broken,
+                    attempts=report.attempts, skipped=report.skipped)
 
     async def _deliver_break(self, lease: Any, attempt: int) -> bool:
         holder = self._holders.get(lease.machine_id)
         if holder is None or holder.conn.closed:
             return False
-        key = (lease.dep, lease.machine_id)
+        callback = next(self._callback_ids)
+        key = (callback, lease.machine_id)
         self.acks.expect(key)
         self.ctl.send(holder, payload={"lease": {
-            "op": "break", "dep": lease.dep,
+            "op": "break", "dep": lease.dep, "id": callback,
         }})
         return await self.acks.wait(key, self.ack_timeout)
 
     def _on_ack(self, sender: Any, body: dict) -> None:
-        dep = body.get("dep")
-        dep = tuple(dep) if isinstance(dep, list) else dep
-        session = sender.session_id
-        if self.acks.resolve((dep, session)):
-            self.leases.record_ack(session, dep, self.transport.now())
+        session = sender.session_id  # the codec decoded "dep" already
+        if self.acks.resolve((body.get("id"), session)):
+            self.leases.record_ack(session, body.get("dep"),
+                                   self.transport.now())
 
 
 class RemoteNameClient:
@@ -306,7 +307,9 @@ class RemoteNameClient:
             timeout=timeout, max_retries=max_retries,
             retry_policy=retry_policy, lease_table=self.lease_table)
         self.root: Optional[Entity] = None
-        self._ctl_waiters: dict[str, deque] = {}
+        self._ctl_ids = itertools.count(1)
+        self._ctl_waiters: dict[int, asyncio.Future] = {}
+        self.unmatched_ctl_replies = 0
         # Route ctl replies to our futures; everything else to the
         # protocol client's handler (installed by its constructor).
         protocol_handler = self.endpoint._handler
@@ -327,26 +330,31 @@ class RemoteNameClient:
         return Address(host, port, CTL_LABEL)
 
     def _on_ctl_reply(self, body: dict) -> None:
-        waiters = self._ctl_waiters.get(body.get("op"))
-        if waiters:
-            future = waiters.popleft()
-            if not future.done():
-                future.set_result(body)
+        future = self._ctl_waiters.pop(body.get("id"), None)
+        if future is None:  # the call timed out, or a stray reply
+            self.unmatched_ctl_replies += 1
+            return
+        future.set_result(body)
 
-    async def _ctl_call(self, request: dict, reply_op: str,
-                        timeout: float = 5.0, index: int = 0) -> dict:
+    async def _ctl_call(self, request: dict, timeout: float = 5.0,
+                        index: int = 0) -> dict:
+        """Send one ctl request; await the reply carrying its id."""
+        request_id = next(self._ctl_ids)
         future = asyncio.get_running_loop().create_future()
-        self._ctl_waiters.setdefault(reply_op, deque()).append(future)
+        self._ctl_waiters[request_id] = future
         self.endpoint.send(self._ctl_address(index),
-                           payload={"ctl": request})
-        return await asyncio.wait_for(future, timeout)
+                           payload={"ctl": {**request, "id": request_id}})
+        try:
+            return await asyncio.wait_for(future, timeout)
+        finally:
+            self._ctl_waiters.pop(request_id, None)
 
     async def connect(self, timeout: float = 5.0) -> Entity:
         """Hello every server; install the root proxy; returns it."""
         addresses = []
         for index in range(len(self._server_hosts)):
-            welcome = await self._ctl_call({"op": "hello"}, "welcome",
-                                           timeout, index=index)
+            welcome = await self._ctl_call({"op": "hello"}, timeout,
+                                           index=index)
             host, port = self._server_hosts[index]
             addresses.append(Address(host, port, welcome["lookup"]))
             if self.root is None:
@@ -367,8 +375,7 @@ class RemoteNameClient:
     async def lease(self, dep: tuple, timeout: float = 5.0) -> dict:
         """Take a lease on *dep*; installs the client-side grant."""
         granted = await self._ctl_call(
-            {"op": "lease-grant", "dep": list(dep)}, "lease-granted",
-            timeout)
+            {"op": "lease-grant", "dep": list(dep)}, timeout)
         self.lease_table.grant(tuple(granted["dep"]),
                                self.transport.now(), granted["term"],
                                granted["epoch"])
@@ -381,11 +388,10 @@ class RemoteNameClient:
         counts after break callbacks settle."""
         return await self._ctl_call(
             {"op": "rebind", "path": list(path), "label": label,
-             "dir": directory}, "rebound", timeout)
+             "dir": directory}, timeout)
 
     async def stats(self, timeout: float = 5.0) -> dict:
-        return await self._ctl_call({"op": "stats"}, "stats-reply",
-                                    timeout)
+        return await self._ctl_call({"op": "stats"}, timeout)
 
     async def aclose(self) -> None:
         await self.transport.aclose()

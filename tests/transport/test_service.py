@@ -168,6 +168,57 @@ class TestLeases:
                 await service.aclose()
         run(scenario())
 
+    def test_overlapping_rebinds_of_one_lease_each_get_their_ack(self):
+        """Two fan-outs break the same live lease at once: each must
+        be answered by its own ack, so neither times out and the
+        holder that did ack keeps its lease unbroken."""
+        async def scenario():
+            service = NamingService(build_root(), ack_timeout=2.0)
+            address = await service.start()
+            client = RemoteNameClient([(address.host, address.port)])
+            await client.connect()
+            try:
+                await client.lease(client.dep_for(client.root, "etc"))
+                reports = await asyncio.gather(
+                    client.rebind(["etc"], label="etc-v2",
+                                  directory=True),
+                    client.rebind(["etc"], label="etc-v3",
+                                  directory=True))
+                for report in reports:
+                    assert report["notified"] == 1
+                    assert report["broken"] == 0
+                assert service.acks.late_acks == 0
+                assert service.leases.breaks == 0
+            finally:
+                await client.aclose()
+                await service.aclose()
+        run(scenario())
+
+
+class TestControlPlane:
+    def test_overlapping_rebind_replies_reach_their_callers(self):
+        """A slow rebind (a leased binding: break plus ack) and a fast
+        one (unleased) share one connection; each caller must get the
+        report for its own path."""
+        async def scenario():
+            service, client = await start_pair()
+            try:
+                await client.lease(client.dep_for(client.root, "usr"))
+                slow, fast = await asyncio.gather(
+                    client.rebind(["usr"], label="usr-v2",
+                                  directory=True),
+                    client.rebind(["etc"], label="etc-v2",
+                                  directory=True))
+                assert slow["path"] == ["usr"]
+                assert slow["notified"] == 1
+                assert fast["path"] == ["etc"]
+                assert fast["notified"] == 0
+                assert client.unmatched_ctl_replies == 0
+            finally:
+                await client.aclose()
+                await service.aclose()
+        run(scenario())
+
 
 class TestFailover:
     def test_resend_fails_over_to_live_replica(self):
