@@ -43,6 +43,7 @@ from repro.nameservice.retry import RetryPolicy
 from repro.obs.instrument import NO_OBS, Instrumentation
 from repro.sim.kernel import Simulator
 from repro.sim.network import Machine
+from repro.sim.process import served_inline
 
 __all__ = ["CachePolicy", "CacheEntry", "BindingCache",
            "CachingDirectoryService", "PrefixEntry", "PrefixCache",
@@ -418,6 +419,7 @@ class CachingDirectoryService:
         if agent is None:
             agent = self._sim.spawn(machine,
                                     label=f"cacheagent@{machine.label}")
+            agent.on_message(served_inline)
             self._agents[id(machine)] = agent
         return agent
 

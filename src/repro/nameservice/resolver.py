@@ -84,7 +84,7 @@ from repro.nameservice.retry import (BreakerState, CircuitBreaker,
 from repro.nameservice.sharding import Shard
 from repro.sim.kernel import Simulator
 from repro.sim.network import Machine
-from repro.sim.process import SimProcess
+from repro.sim.process import SimProcess, served_inline
 
 __all__ = ["ResolutionStyle", "ResolutionCost", "DistributedResolver",
            "check_semantics_preserved"]
@@ -306,6 +306,7 @@ class DistributedResolver:
         if server is None or (not server.alive and machine.alive):
             server = self._sim.spawn(machine,
                                      label=f"dirserver@{machine.label}")
+            server.on_message(served_inline)
             self._servers[id(machine)] = server
             self._server_labels[server.uid] = server.label
         return server

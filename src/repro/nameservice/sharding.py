@@ -176,18 +176,21 @@ class ShardMap:
                   *(machines[(i + k) % count]
                     for k in range(self.replication)))
             for i in range(count)]
+        #: Each shard's ``lo``, in shard order — kept in step with
+        #: ``_shards`` by every split and merge, so routing bisects it
+        #: without rebuilding it.
+        self._los = bounds[:-1]
+        #: Every member's binding hash, computed once when it joins, so
+        #: a split partitions a shard without re-hashing its members.
+        self._hashes: dict[str, int] = {}
         context: Context = directory.state
         for name_ in context.names():
-            self._shard_for_hash(binding_hash(name_)).members.add(name_)
+            self.add_member(name_)
 
     # -- routing ------------------------------------------------------------
 
     def _shard_for_hash(self, value: int) -> Shard:
-        index = bisect_right(self._los(), value) - 1
-        return self._shards[index]
-
-    def _los(self) -> list[int]:
-        return [shard.lo for shard in self._shards]
+        return self._shards[bisect_right(self._los, value) - 1]
 
     def owner_of(self, component: str) -> Shard:
         """The unique shard owning *component*."""
@@ -203,9 +206,14 @@ class ShardMap:
         self.owner_of(component).load += 1
 
     def add_member(self, component: str) -> None:
-        """Track a binding created after the map was built (all writes
-        come through the resolver/service rebind discipline)."""
-        self.owner_of(component).members.add(component)
+        """Track a binding in its owning shard: each one the map is
+        built over, and each created later (all writes come through
+        the resolver/service rebind discipline).  A name is hashed
+        only the first time it is added."""
+        value = self._hashes.get(component)
+        if value is None:
+            value = self._hashes[component] = binding_hash(component)
+        self._shard_for_hash(value).members.add(component)
 
     # -- splitting ----------------------------------------------------------
 
@@ -223,9 +231,10 @@ class ShardMap:
             raise SchemeError(
                 f"split point {split_at:#x} outside ({shard.lo:#x}, "
                 f"{shard.hi:#x})")
+        hashes = self._hashes
         moved = tuple(sorted(
             name_ for name_ in shard.members
-            if binding_hash(name_) >= split_at))
+            if hashes[name_] >= split_at))
         fill = tuple(m for m in shard.replicas
                      if m is not machine)[:max(0, self.replication - 1)]
         return SplitPlan(shard=shard, split_at=split_at,
@@ -254,6 +263,7 @@ class ShardMap:
         shard.hi = plan.split_at
         shard.load = 0
         self._shards.insert(index + 1, new)
+        self._los.insert(index + 1, new.lo)
         return new
 
     # -- merging ------------------------------------------------------------
@@ -283,10 +293,12 @@ class ShardMap:
         left, right = plan.left, plan.right
         if right not in self._shards:
             raise SchemeError(f"{right!r} is not a shard of this map")
+        index = self._shards.index(right)
         left.hi = right.hi
         left.members.update(right.members)
         left.load = 0
-        self._shards.remove(right)
+        del self._shards[index]
+        del self._los[index]
         return left
 
     # -- introspection ------------------------------------------------------

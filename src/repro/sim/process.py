@@ -2,9 +2,9 @@
 
 A :class:`SimProcess` is an :class:`~repro.model.entities.Activity`
 living on a :class:`~repro.sim.network.Machine` with a local address.
-It has a mailbox, an optional message handler, and a parent link (the
-parent/child structure matters to §5.1: "a child inherits the context
-of its parent").
+It has a message handler or, without one, a mailbox, and a parent
+link (the parent/child structure matters to §5.1: "a child inherits
+the context of its parent").
 
 Processes do not resolve names themselves — naming schemes associate a
 context with each process via a :class:`~repro.closure.meta.ContextRegistry`,
@@ -25,10 +25,16 @@ from repro.sim.network import Machine
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.kernel import Simulator
 
-__all__ = ["SimProcess"]
+__all__ = ["SimProcess", "served_inline"]
 
 #: A message handler: called as ``handler(process, message)``.
 Handler = Callable[["SimProcess", Message], None]
+
+
+def served_inline(_process: "SimProcess", _message: Message) -> None:
+    """Handler for a process whose work its caller does inline (the
+    resolver's directory servers, the caching service's agents): the
+    delivered hop message needs nothing more, so nothing keeps it."""
 
 
 class SimProcess(Activity):
@@ -83,21 +89,31 @@ class SimProcess(Activity):
         return self._simulator.send(self, receiver, payload, latency=latency)
 
     def deliver(self, message: Message) -> None:
-        """Called by the kernel when a message arrives."""
+        """Called by the kernel when a message arrives.
+
+        A process with a handler hands the message to it and keeps
+        nothing; only a process without one queues the message for
+        :meth:`receive`.
+        """
         if not self.alive:
             message.dropped = True
             message.drop_reason = "receiver dead"
             return
-        self.mailbox.append(message)
         if self.handler is not None:
             self.handler(self, message)
+        else:
+            self.mailbox.append(message)
 
     def receive(self) -> Optional[Message]:
         """Pop the oldest mailbox message, or None if empty."""
         return self.mailbox.popleft() if self.mailbox else None
 
     def on_message(self, handler: Handler) -> None:
-        """Install *handler* to run at each delivery (after enqueue)."""
+        """Install *handler* to consume each delivery.
+
+        Messages delivered from then on go to *handler* instead of the
+        mailbox; ones already queued stay there for :meth:`receive`.
+        """
         self.handler = handler
 
     # -- lifecycle -------------------------------------------------------

@@ -35,18 +35,18 @@ TRACE_GOLDENS = {
 
 #: sha256 of each experiment's full ``ExperimentResult.to_dict()``.
 EXPERIMENT_GOLDENS = {
-    ("A7", 0): "60e749c48835a2f66d92fc7a43698fc10acf5b21e9e37b33d7e209d355af5cea",
-    ("A7", 1): "e4a3c306a173232c91ab9ebcf51cdc303c975a6931b6cda036ea482451013f81",
-    ("A7", 7): "0ad512b67ccbadb2b2b7f5ee23b51c80023342a275da45b72fba1f04ab1fd372",
-    ("A7", 42): "4e878e88dd08f551ec13fd6395cea3aee26efe1f040e23489ed6b7a340990238",
-    ("A8", 0): "61ce5c50f5efed76453a1cfbe104fac0748fbfe67c27833218e667227131a220",
-    ("A8", 1): "89699668fbc442a9830c92e02fb42bf752c36fa5d50a80b37fae930c4228ed56",
-    ("A8", 7): "b0b05851b64a654d4fffabba0ba9e7510216fa1efa9b22f635f65743cacb1fff",
-    ("A8", 42): "d5065d5581ed3606716b539c30eee9aeaa2ace13dfd74bc0df842272f24cfd5d",
-    ("A9", 0): "1deaf23655f65d74e49c9d9896ebbf9cb006c459a7a473476660facaf2b4a9dc",
-    ("A9", 1): "98adc6f3f114d68f8e22d03775782aa5c2feaf9035ce318cbafc1e54520433e7",
-    ("A9", 7): "ef34d2cb44e0b4a563be563850f4d1dc6f914f57dd47cb01dbade395d743ba75",
-    ("A9", 42): "9ce6d2ad6dc27bac9531af8de584e34b3a7d4cbdbbcd764eb714f56a9c3bb1f9",
+    ("A7", 0): "0879f402f0b5e221ff61e7f386ac8367efe7af32cfb748b4579affe753d61848",
+    ("A7", 1): "8767b1e3370a186180299745e7aa3db655a55acd5fc03f1a2775630eae73d97e",
+    ("A7", 7): "0b95449f0272d7093fdefb4ea181a5a96e6401b1e0c2483920bf12bc479037b7",
+    ("A7", 42): "a71e8174875d7ec388790a5185359f900f834955e54cbad7e3478556c668cff8",
+    ("A8", 0): "117af14ceda1a42d6a7be03fce195b42f31c335bf1a35842d80a5e1e9c3ec756",
+    ("A8", 1): "39d948405b84ba5c007994d1ec0698ce9a55b214e90a90bdf1b4a8fdd7343660",
+    ("A8", 7): "62d1c5bda8cdf08b506c2ba61122ad7ba4e4cdecd216c99780dc5b4464b1afbf",
+    ("A8", 42): "55359a0420e8921206f311d2e7f10cc610764b4cf6ef67553be2f6dd86415b7c",
+    ("A9", 0): "f815f40e97e8673d07a928da0e5b094c06967e2d5300cef46c0c2181af1ae2c2",
+    ("A9", 1): "27bb33f3426bdb8c5281836f74086d432302ac03ff833261652694bfa4468ade",
+    ("A9", 7): "db20a67695d8d729f10f5d1550039acac1ac8daaa328cceae4d0626eae88ae29",
+    ("A9", 42): "1c01134935a74e31716bebeed3c96c922fd3a560fe26d2e83288de82aa0ac6b1",
 }
 
 

@@ -434,6 +434,20 @@ def split_merge_sequences(draw):
     return initial, replicas, steps
 
 
+@st.composite
+def split_merge_add_sequences(draw):
+    """(shard_count, [(op, shard_index_seed, fraction, name)]) scripts
+    interleaving splits, merges and bindings of new names."""
+    initial = draw(st.integers(min_value=1, max_value=4))
+    steps = draw(st.lists(
+        st.tuples(st.sampled_from(["split", "merge", "add"]),
+                  st.integers(min_value=0, max_value=10 ** 6),
+                  st.floats(min_value=0.01, max_value=0.99),
+                  st.text(min_size=1, max_size=12)),
+        max_size=16))
+    return initial, steps
+
+
 class TestOwnershipProperty:
     """Property: after ANY split sequence, every binding is owned by
     exactly one shard, and membership matches ownership."""
@@ -525,6 +539,55 @@ class TestOwnershipProperty:
         assert member_union == all_members
         for probe in probes + list(namespace.names[:5]):
             assert len(shard_map.owners_of(probe)) == 1
+
+    @given(script=split_merge_add_sequences())
+    @settings(max_examples=40, deadline=None)
+    def test_stored_bounds_and_hashes_track_every_step(self, script):
+        """The map's maintained bound list and stored member hashes
+        agree, after every split, merge and new binding, with what
+        recomputing them from the shards and ``binding_hash`` gives."""
+        initial, steps = script
+        simulator = Simulator(seed=0)
+        network = simulator.network("lan")
+        pool = [simulator.machine(network, f"s{i}") for i in range(4)]
+        tree = NamingTree("root", sigma=simulator.sigma)
+        namespace = build_zipf_namespace(tree, "hot", count=200,
+                                         distinct=8)
+        shard_map = ShardMap(namespace.directory, pool[:initial])
+        for op, index_seed, fraction, name_ in steps:
+            shard = shard_map.shards[index_seed % len(shard_map)]
+            machine = pool[index_seed % len(pool)]
+            at = shard.lo + max(1, int(shard.span * fraction))
+            if op == "add":
+                shard_map.add_member(name_)
+            elif op == "merge" and len(shard_map) >= 2:
+                left = shard_map.shards[index_seed
+                                        % (len(shard_map) - 1)]
+                right = shard_map.shards[
+                    shard_map.shards.index(left) + 1]
+                shard_map.apply_merge(shard_map.plan_merge(left, right))
+            elif op == "split" and shard.lo < at < shard.hi:
+                shard_map.apply_split(
+                    shard_map.plan_split(shard, machine, at=at))
+            shards = shard_map.shards
+            assert shard_map._los == [s.lo for s in shards]
+            for shard in shards:
+                for member in shard.members:
+                    assert shard_map.owners_of(member) == \
+                        [shard_map.owner_of(member)] == [shard]
+                # Split at the scripted point and exactly at member
+                # hashes, where ``>=`` against ``>`` shows.
+                points = [shard.lo + max(1, int(shard.span * fraction))]
+                points += [binding_hash(member)
+                           for member in sorted(shard.members)[:3]]
+                for at in points:
+                    if shard.lo < at < shard.hi:
+                        assert shard_map.plan_split(
+                            shard, machine, at=at).moved == tuple(sorted(
+                                member for member in shard.members
+                                if binding_hash(member) >= at))
+            assert shard_map.owners_of(name_) == \
+                [shard_map.owner_of(name_)]
 
 
 class TestReplicatedShards:

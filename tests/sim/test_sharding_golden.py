@@ -44,10 +44,10 @@ TRACE_GOLDENS = {
 
 #: sha256 of A10's full ``ExperimentResult.to_dict()`` (reduced scale).
 EXPERIMENT_GOLDENS = {
-    0: "db768d30b727a93a2f607b1c6d01b856b78edcd80335f397896b9d64047a1a9d",
-    1: "114db4f87d48bd03851525a58b0ee800bc58c44f875877b82c0061c2e26fb4f5",
-    7: "d9b0ef279612d30eab606948017258c9f92436ee7f620dd7cbf0c55a5d08c50e",
-    42: "cc90f2c9b14b741c3b70bdd22e593954caefdc5e01adc8b6c63d5a67df023996",
+    0: "ba0aec69205d7a80dad15daa7888fc3e5453f5e4f0552cb0bc650a7ed3164b98",
+    1: "436f5a1d6d591c1720ceda82916504a16895e93a270ab7427f6be4158890cd97",
+    7: "523895544b071495b610fa21b11aadfa75ae5f91057ac5c22dbc2378136dc915",
+    42: "61caa0e2b72dd4eb2aa82ffcfdcee9a561f8238fde1bb49e78333b376224998d",
 }
 
 
